@@ -500,72 +500,74 @@ pub fn run_crawl_observed(
     let next_chunk = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<ShardAccum>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
 
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(n_chunks) {
-            scope.spawn(|| {
-                let loader = PageLoader::new(BrowserKind::Chromium);
-                // One env per worker: its host-fact cache warms over
-                // the whole run; crawl_site flushes all per-visit
-                // state, so sharding stays exact (see crawl_site).
-                let mut env = UniverseEnv::new(&dataset);
-                // Per-worker recycled buffers: page materialization
-                // scratch and the loader's visit arena (capacity-only
-                // state; see crawl_site).
-                let mut scratch = origin_webgen::PageScratch::new();
-                let mut arena = VisitArena::new();
-                if origin_advertised {
-                    env.origin_enabled_asns = PROVIDERS.iter().map(|p| p.asn).collect();
-                }
-                loop {
-                    let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
-                    if chunk >= n_chunks {
-                        break;
-                    }
-                    // Ceil-sized chunks can overrun the tail: clamp,
-                    // leaving trailing chunks empty (merge identity).
-                    let start = (chunk * chunk_size).min(site_cfgs.len());
-                    let end = (start + chunk_size).min(site_cfgs.len());
-                    let mut acc = ShardAccum::new(sites, config.tranco_total, obs);
-                    let mut run = |acc: &mut ShardAccum| {
-                        for site in &site_cfgs[start..end] {
-                            crawl_site(
-                                &dataset,
-                                &loader,
-                                &mut env,
-                                site,
-                                acc,
-                                sampler,
-                                faults,
-                                &mut scratch,
-                                &mut arena,
-                            );
-                        }
-                    };
-                    match obs.and_then(|o| o.panic_dump.as_ref()) {
-                        // Crash forensics: if a visit panics, dump the
-                        // worker's ring — ending with the events of the
-                        // visit that died — before propagating.
-                        Some(dump_path) => {
-                            let caught =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    run(&mut acc)
-                                }));
-                            if let Err(payload) = caught {
-                                if let Some(o) = acc.obs.as_ref() {
-                                    let _ =
-                                        std::fs::write(dump_path, o.flight.panic_snapshot_json());
-                                }
-                                std::panic::resume_unwind(payload);
-                            }
-                        }
-                        None => run(&mut acc),
-                    }
-                    *slots[chunk]
-                        .lock()
-                        .expect("crawl shard slot poisoned by a worker panic") = Some(acc);
-                }
-            });
+    // One crawl worker: claims chunks until none are left.
+    let worker = || {
+        let loader = PageLoader::new(BrowserKind::Chromium);
+        // One env per worker: its host-fact cache warms over
+        // the whole run; crawl_site flushes all per-visit
+        // state, so sharding stays exact (see crawl_site).
+        let mut env = UniverseEnv::new(&dataset);
+        // Per-worker recycled buffers: page materialization
+        // scratch and the loader's visit arena (capacity-only
+        // state; see crawl_site).
+        let mut scratch = origin_webgen::PageScratch::new();
+        let mut arena = VisitArena::new();
+        if origin_advertised {
+            env.origin_enabled_asns = PROVIDERS.iter().map(|p| p.asn).collect();
         }
+        loop {
+            let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
+            if chunk >= n_chunks {
+                break;
+            }
+            // Ceil-sized chunks can overrun the tail: clamp,
+            // leaving trailing chunks empty (merge identity).
+            let start = (chunk * chunk_size).min(site_cfgs.len());
+            let end = (start + chunk_size).min(site_cfgs.len());
+            let mut acc = ShardAccum::new(sites, config.tranco_total, obs);
+            let mut run = |acc: &mut ShardAccum| {
+                for site in &site_cfgs[start..end] {
+                    crawl_site(
+                        &dataset,
+                        &loader,
+                        &mut env,
+                        site,
+                        acc,
+                        sampler,
+                        faults,
+                        &mut scratch,
+                        &mut arena,
+                    );
+                }
+            };
+            match obs.and_then(|o| o.panic_dump.as_ref()) {
+                // Crash forensics: if a visit panics, dump the
+                // worker's ring — ending with the events of the
+                // visit that died — before propagating.
+                Some(dump_path) => {
+                    let caught =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&mut acc)));
+                    if let Err(payload) = caught {
+                        if let Some(o) = acc.obs.as_ref() {
+                            let _ = std::fs::write(dump_path, o.flight.panic_snapshot_json());
+                        }
+                        std::panic::resume_unwind(payload);
+                    }
+                }
+                None => run(&mut acc),
+            }
+            *slots[chunk]
+                .lock()
+                .expect("crawl shard slot poisoned by a worker panic") = Some(acc);
+        }
+    };
+    // The calling thread is one of the workers, so `--threads 1`
+    // spawns nothing (no extra stack, no malloc arena of its own).
+    std::thread::scope(|scope| {
+        for _ in 1..threads.min(n_chunks) {
+            scope.spawn(worker);
+        }
+        worker();
     });
 
     // Rank-ordered merge: chunk 0, 1, 2, … — the deterministic spine.

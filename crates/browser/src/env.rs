@@ -184,9 +184,19 @@ impl<'a> UniverseEnv<'a> {
     }
 
     /// Clear the DNS cache (fresh browser session per page, §3.1).
+    ///
+    /// This is also the visit boundary at which the host-fact cache
+    /// is emptied once it holds more than [`HostTable::LIMIT`] names: its
+    /// facts are pure functions of the dataset, so recomputing them
+    /// changes nothing but keeps a long-running worker's cache from
+    /// growing with every new site.
     pub fn flush_dns(&mut self) {
         self.resolver.flush_cache();
         self.resolver_cache_flushed = true;
+        let cache = self.cache.get_mut();
+        if cache.hosts.reset_at_boundary() {
+            cache.facts.clear();
+        }
     }
 
     /// The resolver's counters (plaintext exposure etc.).
@@ -202,6 +212,22 @@ impl<'a> UniverseEnv<'a> {
         let stats = self.resolver.stats();
         self.resolver.reset_stats();
         stats
+    }
+
+    /// Hostnames the host-fact cache has interned.
+    #[cfg(test)]
+    pub(crate) fn interned_hosts(&self) -> usize {
+        self.cache.borrow().hosts.len()
+    }
+
+    /// Give the host-fact cache a small limit so tests reach its reset
+    /// path.
+    #[cfg(test)]
+    pub(crate) fn set_intern_limit(&mut self, limit: usize) {
+        *self.cache.get_mut() = HostFactCache {
+            hosts: HostTable::with_limit(limit),
+            facts: Vec::new(),
+        };
     }
 }
 

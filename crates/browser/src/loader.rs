@@ -177,7 +177,7 @@ struct H1Stats {
 
 /// Per-visit working memory, recycled across page loads.
 ///
-/// A cold load allocates a connection pool (five index maps), the
+/// A cold load allocates a connection pool (five bucket indexes), the
 /// timing vector and three per-resource buffers on every visit; a
 /// crawl does that millions of times. A `VisitArena` owned by each
 /// crawl worker keeps those allocations warm: every buffer is
@@ -185,11 +185,19 @@ struct H1Stats {
 /// and [`VisitArena::recycle`] returns a consumed [`PageLoad`]'s
 /// request storage to the arena.
 ///
-/// Determinism: the arena carries *capacity* only. Every value
-/// written during a load is a pure function of the page, the
-/// environment and the RNG, so loads through a warm arena are
-/// byte-identical to loads through a fresh one (asserted by
-/// `arena_reuse_is_output_invisible`).
+/// Determinism: the arena carries *capacity* only (plus the pool's
+/// host interner, whose ids never reach output). Every value written
+/// during a load is a pure function of the page, the environment and
+/// the RNG, so loads through a warm arena are byte-identical to loads
+/// through a fresh one (asserted by `arena_reuse_is_output_invisible`
+/// and, over 2,000 visits, its long-run sibling).
+///
+/// Cost: clearing for the next load must cost O(what the last load
+/// used), not O(everything the arena has seen). Stale state that is
+/// invisible to output can still be paid for on every visit — the
+/// pool once emptied a bucket per key it had ever indexed, which made
+/// a worker's visits slower the longer it ran. DESIGN.md §12 lists
+/// what the arena keeps across visits and the bound of each.
 #[derive(Default)]
 pub struct VisitArena {
     pool: ConnectionPool,
@@ -2104,5 +2112,69 @@ mod tests {
             assert_eq!(&load, expect);
             arena.recycle(load);
         }
+    }
+
+    /// The long-run form of [`arena_reuse_is_output_invisible`]: one
+    /// arena and one env carried through 2,000 visits of a mixed
+    /// h1/h2/h3 universe — each visit's pool, h1 sessions and QUIC
+    /// state cleared over whatever the previous visits left behind,
+    /// the pool and host-fact interners emptied whenever they pass
+    /// their (test-sized) limit — yield loads and counters identical
+    /// to a fresh arena and env per visit. Between visits the carried
+    /// state stays bounded: the per-connection slots match this
+    /// visit's pool, and the host-fact cache holds at most
+    /// `INTERN_LIMIT` names.
+    #[test]
+    fn arena_reuse_is_output_invisible_over_a_long_run() {
+        const VISITS: usize = 2_000;
+        const INTERN_LIMIT: usize = 256;
+        let d = Dataset::generate(DatasetConfig {
+            sites: 3_400,
+            tranco_total: 500_000,
+            seed: 11,
+            legacy_share: 0.25,
+            h3_share: 0.25,
+        });
+        let loader = PageLoader::new(BrowserKind::Firefox);
+        let mut env = UniverseEnv::new(&d);
+        env.set_intern_limit(INTERN_LIMIT);
+        let mut fresh_metrics = origin_metrics::Registry::new();
+        let mut reused_metrics = origin_metrics::Registry::new();
+        let mut arena = VisitArena::new();
+        arena.pool.set_intern_limit(INTERN_LIMIT);
+        let mut visits = 0;
+        for site in d.sites().iter().filter(|s| !s.failed).take(VISITS) {
+            let page = d.page_for(site);
+            let seed = site.page_seed ^ 0xC0A1E5CE;
+            let mut fresh_env = UniverseEnv::new(&d);
+            fresh_env.flush_dns();
+            let fresh = loader.load_faulted_with(
+                &page,
+                &mut fresh_env,
+                &mut SimRng::seed_from_u64(seed),
+                None,
+                Some(&mut fresh_metrics),
+                None,
+                &mut VisitArena::new(),
+            );
+            env.flush_dns();
+            assert!(env.interned_hosts() <= INTERN_LIMIT, "visit {visits}");
+            let reused = loader.load_faulted_with(
+                &page,
+                &mut env,
+                &mut SimRng::seed_from_u64(seed),
+                None,
+                Some(&mut reused_metrics),
+                None,
+                &mut arena,
+            );
+            assert_eq!(reused, fresh, "visit {visits} (rank {})", site.rank);
+            assert_eq!(arena.h1_sessions.len(), arena.pool.len());
+            assert_eq!(arena.h3_conns.len(), arena.pool.len());
+            arena.recycle(reused);
+            visits += 1;
+        }
+        assert_eq!(visits, VISITS, "the universe has enough successful sites");
+        assert_eq!(reused_metrics.to_json(), fresh_metrics.to_json());
     }
 }

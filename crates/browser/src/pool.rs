@@ -19,6 +19,8 @@ use origin_h2::OriginSet;
 use origin_intern::{FxHashMap, HostId, HostTable};
 use origin_tls::Certificate;
 use origin_web::{FetchMode, Protocol};
+use std::collections::hash_map::Entry;
+use std::hash::Hash;
 use std::net::IpAddr;
 
 /// Connection pools are partitioned by credentials mode: a CORS-
@@ -102,6 +104,72 @@ pub enum ReuseDecision {
     New,
 }
 
+/// A keyed family of connection-index buckets whose
+/// [`BucketIndex::clear`] costs O(keys this visit touched).
+///
+/// The key map only ever holds the current visit's keys, each naming
+/// a slot in a slab of buckets. Clearing empties the map and the
+/// `live` buckets but keeps every bucket's capacity, so a warm slab
+/// refills without allocating, and neither the map nor the slab grows
+/// past the largest single visit however long the crawl runs.
+#[derive(Debug)]
+struct BucketIndex<K> {
+    slots: FxHashMap<K, u32>,
+    buckets: Vec<Vec<u32>>,
+    /// `buckets[..live]` belong to keys in `slots`; the rest are
+    /// empty and held only for their capacity.
+    live: usize,
+}
+
+impl<K> Default for BucketIndex<K> {
+    fn default() -> Self {
+        BucketIndex {
+            slots: FxHashMap::default(),
+            buckets: Vec::new(),
+            live: 0,
+        }
+    }
+}
+
+impl<K: Hash + Eq> BucketIndex<K> {
+    /// The bucket for `key` (empty when this visit never filled it).
+    fn get(&self, key: &K) -> &[u32] {
+        self.slots
+            .get(key)
+            .map_or(&[], |&slot| &self.buckets[slot as usize])
+    }
+
+    /// The bucket for `key`, claiming the next slot on first sight.
+    fn bucket_mut(&mut self, key: K) -> &mut Vec<u32> {
+        let slot = match self.slots.entry(key) {
+            Entry::Occupied(e) => *e.get() as usize,
+            Entry::Vacant(e) => {
+                let slot = self.live;
+                e.insert(u32::try_from(slot).expect("pool outgrew u32 slots"));
+                self.live += 1;
+                if self.buckets.len() < self.live {
+                    self.buckets.push(Vec::new());
+                }
+                slot
+            }
+        };
+        &mut self.buckets[slot]
+    }
+
+    /// The buckets this visit filled.
+    fn live_buckets(&self) -> &[Vec<u32>] {
+        &self.buckets[..self.live]
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        for bucket in &mut self.buckets[..self.live] {
+            bucket.clear();
+        }
+        self.live = 0;
+    }
+}
+
 /// The pool and its reuse logic.
 ///
 /// Index invariants (maintained by [`ConnectionPool::insert`], relied
@@ -124,17 +192,17 @@ pub enum ReuseDecision {
 pub struct ConnectionPool {
     conns: Vec<PooledConnection>,
     hosts: HostTable,
-    by_host: FxHashMap<HostId, Vec<u32>>,
-    exact_san: FxHashMap<HostId, Vec<u32>>,
-    wildcard_san: FxHashMap<HostId, Vec<u32>>,
-    by_ip: FxHashMap<IpAddr, Vec<u32>>,
+    by_host: BucketIndex<HostId>,
+    exact_san: BucketIndex<HostId>,
+    wildcard_san: BucketIndex<HostId>,
+    by_ip: BucketIndex<IpAddr>,
     /// Coalesced (host → connection) mappings that drew a `421
     /// Misdirected Request`: the server behind the connection refused
     /// to serve that authority, so the pair is barred from coalescing
     /// for the rest of the page load (mirrors Firefox's 421 handling).
     /// Same-host reuse is unaffected — a 421 indicts the mapping, not
     /// the connection.
-    evicted: FxHashMap<HostId, Vec<u32>>,
+    evicted: BucketIndex<HostId>,
 }
 
 impl ConnectionPool {
@@ -164,29 +232,34 @@ impl ConnectionPool {
     }
 
     /// Empty the pool for the next page visit while keeping every
-    /// allocation warm: the connection vector, the index maps *and*
-    /// their per-key buckets retain capacity, and the host intern
-    /// table is kept entirely — interning is append-only and ids
-    /// never leak into output, so a table warmed by earlier visits is
-    /// indistinguishable from a fresh one (a stale key over an empty
-    /// bucket behaves exactly like an absent key).
+    /// allocation warm: the connection vector and each index's bucket
+    /// slab retain capacity, and the host intern table is kept until
+    /// it holds more than [`HostTable::LIMIT`] names. Ids never leak into
+    /// output and no index holds one past this point, so a table
+    /// warmed by earlier visits — or just emptied — is
+    /// indistinguishable from a fresh one.
+    ///
+    /// Cost is O(what this visit inserted): each index forgets its
+    /// keys outright rather than emptying a bucket per key ever seen.
+    /// Keeping stale keys over empty buckets would leave every
+    /// decision unchanged but make each clear walk every host, SAN
+    /// and address the worker had met, so a crawl's per-visit cost
+    /// would grow with its length.
     pub fn clear(&mut self) {
         self.conns.clear();
-        for bucket in self.by_host.values_mut() {
-            bucket.clear();
-        }
-        for bucket in self.exact_san.values_mut() {
-            bucket.clear();
-        }
-        for bucket in self.wildcard_san.values_mut() {
-            bucket.clear();
-        }
-        for bucket in self.by_ip.values_mut() {
-            bucket.clear();
-        }
-        for bucket in self.evicted.values_mut() {
-            bucket.clear();
-        }
+        self.by_host.clear();
+        self.exact_san.clear();
+        self.wildcard_san.clear();
+        self.by_ip.clear();
+        self.evicted.clear();
+        self.hosts.reset_at_boundary();
+    }
+
+    /// Give the pool's host interner a small limit so tests reach its
+    /// reset path.
+    #[cfg(test)]
+    pub(crate) fn set_intern_limit(&mut self, limit: usize) {
+        self.hosts = HostTable::with_limit(limit);
     }
 
     /// Insert a connection; returns its index. The certificate's SAN
@@ -195,7 +268,7 @@ impl ConnectionPool {
     pub fn insert(&mut self, conn: PooledConnection) -> usize {
         let idx = u32::try_from(self.conns.len()).expect("pool outgrew u32 indices");
         let host_id = self.hosts.intern(conn.host.as_str());
-        self.by_host.entry(host_id).or_default().push(idx);
+        self.by_host.bucket_mut(host_id).push(idx);
         for san in &conn.cert.sans {
             let (map, key) = if san.is_wildcard() {
                 let Some(parent) = san.parent_str() else {
@@ -205,7 +278,7 @@ impl ConnectionPool {
             } else {
                 (&mut self.exact_san, san.as_str())
             };
-            let bucket = map.entry(self.hosts.intern(key)).or_default();
+            let bucket = map.bucket_mut(self.hosts.intern(key));
             // Duplicate SAN entries on one cert must not duplicate
             // the index entry.
             if bucket.last() != Some(&idx) {
@@ -213,7 +286,7 @@ impl ConnectionPool {
             }
         }
         for ip in conn.available_set.iter() {
-            let bucket = self.by_ip.entry(*ip).or_default();
+            let bucket = self.by_ip.bucket_mut(*ip);
             if bucket.last() != Some(&idx) {
                 bucket.push(idx);
             }
@@ -229,7 +302,7 @@ impl ConnectionPool {
     pub fn evict_coalesce(&mut self, host: &DnsName, idx: usize) {
         let host_id = self.hosts.intern(host.as_str());
         let idx = u32::try_from(idx).expect("pool outgrew u32 indices");
-        let bucket = self.evicted.entry(host_id).or_default();
+        let bucket = self.evicted.bucket_mut(host_id);
         if !bucket.contains(&idx) {
             bucket.push(idx);
         }
@@ -237,13 +310,11 @@ impl ConnectionPool {
 
     /// Number of evicted (host, connection) coalesce mappings.
     pub fn evicted_mappings(&self) -> usize {
-        self.evicted.values().map(Vec::len).sum()
+        self.evicted.live_buckets().iter().map(Vec::len).sum()
     }
 
     fn is_evicted(&self, host_id: Option<HostId>, idx: u32) -> bool {
-        host_id
-            .and_then(|id| self.evicted.get(&id))
-            .is_some_and(|b| b.contains(&idx))
+        host_id.is_some_and(|id| self.evicted.get(&id).contains(&idx))
     }
 
     /// Decide how a request to `host` (with DNS answer `addrs`, in
@@ -308,9 +379,8 @@ impl ConnectionPool {
         // serialization, and timing — "the number of TLS handshakes
         // is equal to the number of separate services" (§4.2).
         let is_ideal = matches!(policy, BrowserKind::IdealIp | BrowserKind::IdealOrigin);
-        fn bucket_of(map: &FxHashMap<HostId, Vec<u32>>, key: Option<HostId>) -> &[u32] {
-            key.and_then(|id| map.get(&id))
-                .map_or(&[], |b| b.as_slice())
+        fn bucket_of(index: &BucketIndex<HostId>, key: Option<HostId>) -> &[u32] {
+            key.map_or(&[], |id| index.get(&id))
         }
 
         // 1. Same-host reuse (keep-alive): H2 always multiplexes; an
@@ -413,8 +483,7 @@ impl ConnectionPool {
             BrowserKind::IdealIp => {
                 let mut candidates: Vec<u32> = addrs
                     .iter()
-                    .filter_map(|a| self.by_ip.get(a))
-                    .flatten()
+                    .flat_map(|a| self.by_ip.get(a))
                     .copied()
                     .collect();
                 candidates.sort_unstable();
@@ -655,6 +724,28 @@ impl ConnectionPool {
             }
         }
         false
+    }
+}
+
+#[cfg(test)]
+impl ConnectionPool {
+    /// Each index's (live keys, bucket slab length, key-map capacity),
+    /// in the order by-host, exact-SAN, wildcard-SAN, by-IP, evicted.
+    fn index_footprint(&self) -> [(usize, usize, usize); 5] {
+        fn of<K>(index: &BucketIndex<K>) -> (usize, usize, usize) {
+            (
+                index.slots.len(),
+                index.buckets.len(),
+                index.slots.capacity(),
+            )
+        }
+        [
+            of(&self.by_host),
+            of(&self.exact_san),
+            of(&self.wildcard_san),
+            of(&self.by_ip),
+            of(&self.evicted),
+        ]
     }
 }
 
@@ -1321,5 +1412,131 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn clear_cost_tracks_the_visit_not_the_run() {
+        // One pool through 1,000 visits whose hosts, SANs and
+        // addresses no other visit uses. Every index must hold only
+        // the current visit's keys, and neither its key map nor its
+        // bucket slab may outgrow the largest single visit — so
+        // `clear` (and every lookup) costs the same on visit 1,000 as
+        // on visit 1. Queries mix this visit's names with names the
+        // interner still holds from earlier visits (stale ids over no
+        // bucket) and never-seen names; the indexed decision must
+        // match the linear reference for all of them. The run meets
+        // far more names than the interner's (test-sized) limit, so
+        // it resets between visits several times along the way.
+        use origin_netsim::SimRng;
+        let policies = [
+            BrowserKind::Chromium,
+            BrowserKind::Firefox,
+            BrowserKind::FirefoxOrigin,
+            BrowserKind::IdealIp,
+            BrowserKind::IdealOrigin,
+        ];
+        let mut rng = SimRng::seed_from_u64(0xC1EA_0F1E);
+        const INTERN_LIMIT: usize = 256;
+        let mut pool = ConnectionPool::new();
+        pool.set_intern_limit(INTERN_LIMIT);
+        let mut resets = 0;
+        let mut max_inserted = [0usize; 5];
+        let mut prev_hosts: Vec<DnsName> = Vec::new();
+        for visit in 0..1_000u32 {
+            let [hi, lo] = [(visit >> 8) as u8, visit as u8];
+            let n = 1 + rng.index(6);
+            let mut hosts = Vec::new();
+            let mut inserted = [0usize; 5];
+            for c in 0..n {
+                let host = format!("h{c}.v{visit}.example");
+                let ip = v4(10, hi, lo, c as u8);
+                let mut set = vec![ip];
+                if rng.chance(0.5) {
+                    set.push(v4(11, hi, lo, c as u8));
+                }
+                let exact = format!("s{c}.v{visit}.example");
+                let wild = format!("*.w{c}.v{visit}.example");
+                let mut sans = vec![exact.as_str()];
+                if rng.chance(0.5) {
+                    sans.push(wild.as_str());
+                }
+                let mut conn = conn(&host, ip, set, &sans);
+                if rng.chance(0.2) {
+                    conn.origin_set = Some(OriginSet::from_hosts([host.as_str(), exact.as_str()]));
+                }
+                inserted[0] += 1;
+                for san in &conn.cert.sans {
+                    inserted[if san.is_wildcard() { 2 } else { 1 }] += 1;
+                }
+                inserted[3] += conn.available_set.len();
+                pool.insert(conn);
+                hosts.push(name(&host));
+            }
+            if rng.chance(0.3) {
+                pool.evict_coalesce(&name(&format!("s0.v{visit}.example")), 0);
+                inserted[4] += 1;
+            }
+            let footprint = pool.index_footprint();
+            for (k, &(keys, _, _)) in footprint.iter().enumerate() {
+                assert!(
+                    keys <= inserted[k],
+                    "visit {visit}: index {k} holds {keys} keys, visit inserted {}",
+                    inserted[k]
+                );
+                max_inserted[k] = max_inserted[k].max(inserted[k]);
+            }
+            let queries = hosts
+                .iter()
+                .cloned()
+                .chain(prev_hosts.iter().cloned())
+                .chain([
+                    name(&format!("s0.v{visit}.example")),
+                    name(&format!("x.w0.v{visit}.example")),
+                    name(&format!("s0.v{}.example", visit.saturating_sub(1))),
+                    name(&format!("never.v{visit}.example")),
+                ]);
+            for host in queries {
+                let policy = *rng.choose(&policies);
+                let answer = [v4(10, hi, lo, rng.index(n + 1) as u8)];
+                let indexed = pool.decide(
+                    policy,
+                    &host,
+                    &answer,
+                    PoolPartition::Default,
+                    6,
+                    0.0,
+                    always,
+                );
+                let linear = pool.decide_linear(
+                    policy,
+                    &host,
+                    &answer,
+                    PoolPartition::Default,
+                    6,
+                    0.0,
+                    always,
+                );
+                assert_eq!(indexed, linear, "visit {visit}: {policy:?} {host}");
+            }
+            let interned = pool.hosts.len();
+            pool.clear();
+            resets += usize::from(pool.hosts.len() < interned);
+            assert!(pool.hosts.len() <= INTERN_LIMIT, "visit {visit}");
+            for (k, &(keys, slab, capacity)) in pool.index_footprint().iter().enumerate() {
+                assert_eq!(keys, 0, "visit {visit}: index {k} kept keys past clear");
+                assert!(
+                    slab <= max_inserted[k],
+                    "visit {visit}: index {k} slab {slab} outgrew the largest visit ({})",
+                    max_inserted[k]
+                );
+                assert!(
+                    capacity <= 2 * max_inserted[k] + 4,
+                    "visit {visit}: index {k} map capacity {capacity} outgrew the largest visit ({})",
+                    max_inserted[k]
+                );
+            }
+            prev_hosts = hosts;
+        }
+        assert!(resets >= 2, "the interner reset only {resets} times");
     }
 }

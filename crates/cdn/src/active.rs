@@ -169,44 +169,49 @@ impl ActiveMeasurement {
             (0..n_chunks).map(|_| Mutex::new(None)).collect();
         let third_party = name(THIRD_PARTY_HOST);
 
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(n_chunks) {
-                scope.spawn(|| {
-                    let mut env = CdnEnv::new(group, self.mode);
-                    let loader = PageLoader::new(self.browser);
-                    loop {
-                        let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
-                        if chunk >= n_chunks {
-                            break;
-                        }
-                        // Ceil-sized chunks can overrun the tail:
-                        // clamp, leaving trailing chunks empty
-                        // (merge identity).
-                        let start = (chunk * chunk_size).min(sites.len());
-                        let end = (start + chunk_size).min(sites.len());
-                        let mut result = ActiveResult::empty();
-                        for site in &sites[start..end] {
-                            let page = site.page();
-                            let mut rng = SimRng::seed_from_u64(seed ^ site.page_seed);
-                            let load = loader.load_instrumented(
-                                &page,
-                                &mut env,
-                                &mut rng,
-                                Some(&mut result.metrics),
-                            );
-                            result
-                                .new_connections
-                                .add(load.new_connections_to(&third_party));
-                            result.plt_ms.push(load.plt());
-                            result.record_visit(&page, &load);
-                        }
-                        *slots[chunk]
-                            .lock()
-                            .expect("active-measurement shard slot poisoned by a worker panic") =
-                            Some(result);
-                    }
-                });
+        // One worker: claims chunks until none are left.
+        let worker = || {
+            let mut env = CdnEnv::new(group, self.mode);
+            let loader = PageLoader::new(self.browser);
+            loop {
+                let chunk = next_chunk.fetch_add(1, Ordering::Relaxed);
+                if chunk >= n_chunks {
+                    break;
+                }
+                // Ceil-sized chunks can overrun the tail:
+                // clamp, leaving trailing chunks empty
+                // (merge identity).
+                let start = (chunk * chunk_size).min(sites.len());
+                let end = (start + chunk_size).min(sites.len());
+                let mut result = ActiveResult::empty();
+                for site in &sites[start..end] {
+                    let page = site.page();
+                    let mut rng = SimRng::seed_from_u64(seed ^ site.page_seed);
+                    let load = loader.load_instrumented(
+                        &page,
+                        &mut env,
+                        &mut rng,
+                        Some(&mut result.metrics),
+                    );
+                    result
+                        .new_connections
+                        .add(load.new_connections_to(&third_party));
+                    result.plt_ms.push(load.plt());
+                    result.record_visit(&page, &load);
+                }
+                *slots[chunk]
+                    .lock()
+                    .expect("active-measurement shard slot poisoned by a worker panic") =
+                    Some(result);
             }
+        };
+        // The calling thread is one of the workers, so one worker
+        // spawns nothing.
+        std::thread::scope(|scope| {
+            for _ in 1..threads.min(n_chunks) {
+                scope.spawn(worker);
+            }
+            worker();
         });
 
         let mut total = ActiveResult::empty();

@@ -7,17 +7,16 @@
 //! differed from the TLS SNI — the signal that a request was
 //! *coalesced* onto a connection opened for another hostname.
 //!
-//! This module reproduces the pipeline as a concurrent system: edge
-//! worker threads process visits and push sampled log records over a
-//! channel to a collector, exactly the shape of a production logging
-//! path.
+//! This module reproduces the pipeline with parallel edge workers:
+//! each simulates its share of the visits, samples log records, and
+//! folds them with its own collector; the per-worker reports are
+//! summed at the end. Connection ids are disjoint per worker, so the
+//! per-worker fold counts exactly what one global collector would.
 
 use crate::env::DeploymentMode;
 use crate::sample::{SampleGroup, Treatment, THIRD_PARTY_HOST};
 use origin_netsim::SimRng;
 use origin_web::FetchMode;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
 use std::thread;
 
 /// One sampled log record (the paper's privacy-reduced schema).
@@ -94,6 +93,16 @@ pub struct PassiveReport {
 }
 
 impl PassiveReport {
+    /// Add another worker's counts into this report.
+    fn add(&mut self, other: &PassiveReport) {
+        self.sampled_records += other.sampled_records;
+        self.experiment_tp_connections += other.experiment_tp_connections;
+        self.control_tp_connections += other.control_tp_connections;
+        self.coalesced_connections += other.coalesced_connections;
+        self.experiment_visits += other.experiment_visits;
+        self.control_visits += other.control_visits;
+    }
+
     /// The headline number: relative reduction in the rate of new TLS
     /// connections to the third party, experiment vs control
     /// (paper: 56% for §5.2, ≈50% for §5.3).
@@ -107,10 +116,10 @@ impl PassiveReport {
     }
 
     /// Emit the report's aggregates as trace instants on a dedicated
-    /// logical process. The pipeline's worker/collector interleaving
-    /// is nondeterministic, so the *aggregates* — which are not — are
-    /// traced post-hoc rather than per record; whole-run traces stay
-    /// byte-identical across thread counts.
+    /// logical process. The workers' interleaving is nondeterministic,
+    /// so the *aggregates* — which are not — are traced post-hoc
+    /// rather than per record; whole-run traces stay byte-identical
+    /// across thread counts.
     pub fn record_trace(&self, tracer: &mut origin_trace::Tracer, pid: u64) {
         tracer.begin_visit(pid, "cdn passive pipeline");
         tracer.set_now_us(0);
@@ -196,139 +205,133 @@ impl PassivePipeline {
 
     /// Run the pipeline over the sample group. Deterministic for a
     /// given seed regardless of worker count (visits are partitioned
-    /// by index and each visit derives its own RNG).
+    /// by index, each visit derives its own RNG, and the per-worker
+    /// reports are sums). The calling thread is worker 0, so one
+    /// worker spawns nothing.
     pub fn run(&self, group: &SampleGroup, seed: u64) -> PassiveReport {
-        let report = Arc::new(Mutex::new(PassiveReport::default()));
-        let (tx, rx) = mpsc::channel::<LogRecord>();
+        let workers = self.config.workers.max(1);
+        let edge = |w| self.edge_worker(group, seed, w, workers);
+        thread::scope(|scope| {
+            let others: Vec<_> = (1..workers).map(|w| scope.spawn(move || edge(w))).collect();
+            let mut report = edge(0);
+            for other in others {
+                report.add(&other.join().expect("passive edge worker panicked"));
+            }
+            report
+        })
+    }
 
-        // Collector thread: consumes sampled records and aggregates —
-        // the paper's restricted-access query side.
-        let collector_report = Arc::clone(&report);
-        let collector = thread::spawn(move || {
-            let mut seen_coalesced_conns = std::collections::HashSet::new();
-            for rec in rx {
-                let mut r = collector_report
-                    .lock()
-                    .expect("passive report lock poisoned by a worker panic");
-                r.sampled_records += 1;
-                if rec.host == THIRD_PARTY_HOST {
-                    if rec.host_differs_from_sni {
-                        // Coalesced request: count the connection once.
-                        if rec.arrival_order >= 2 && seen_coalesced_conns.insert(rec.conn_id) {
-                            r.coalesced_connections += 1;
-                        }
-                    } else if rec.arrival_order == 1 {
-                        // First request on a dedicated third-party
-                        // connection = one new TLS connection.
-                        match rec.treatment {
-                            Treatment::Experiment => r.experiment_tp_connections += 1,
-                            Treatment::Control => r.control_tp_connections += 1,
-                        }
-                    }
+    /// Edge worker `w` of `workers`: simulate visits `w, w + workers,
+    /// …` and fold each sampled log record into this worker's report.
+    fn edge_worker(
+        &self,
+        group: &SampleGroup,
+        seed: u64,
+        w: usize,
+        workers: usize,
+    ) -> PassiveReport {
+        let mut report = PassiveReport::default();
+        let mut collector = Collector::default();
+        let mut conn_counter: u64 = (w as u64) << 48;
+        for v in (w as u64..self.config.visits).step_by(workers) {
+            let mut rng = SimRng::seed_from_u64(seed ^ v.wrapping_mul(0x9e3779b97f4a7c15));
+            let site = &group.sites[rng.index(group.sites.len())];
+            let t = rng.unit() * self.config.window_secs;
+            match site.treatment {
+                Treatment::Experiment => report.experiment_visits += 1,
+                Treatment::Control => report.control_visits += 1,
+            }
+            // The site connection itself.
+            conn_counter += 1;
+            let site_conn = conn_counter;
+            let coalesces = self.visit_coalesces(site.treatment, site.third_party_fetch, &mut rng);
+            let mut site_arrivals: u32 = 1;
+            let mut emit = |rec: LogRecord, rng: &mut SimRng| {
+                if rng.chance(self.config.sample_rate) {
+                    collector.absorb(&mut report, rec);
+                }
+            };
+            emit(
+                LogRecord {
+                    conn_id: site_conn,
+                    referer_domain: site.host.to_string(),
+                    sni: site.host.to_string(),
+                    host: site.host.to_string(),
+                    arrival_order: site_arrivals,
+                    treatment: site.treatment,
+                    host_differs_from_sni: false,
+                    t_secs: t,
+                },
+                &mut rng,
+            );
+            // Third-party requests.
+            if coalesces {
+                for _ in 0..site.third_party_requests {
+                    site_arrivals += 1;
+                    emit(
+                        LogRecord {
+                            conn_id: site_conn,
+                            referer_domain: site.host.to_string(),
+                            sni: site.host.to_string(),
+                            host: THIRD_PARTY_HOST.to_string(),
+                            arrival_order: site_arrivals,
+                            treatment: site.treatment,
+                            host_differs_from_sni: true,
+                            t_secs: t,
+                        },
+                        &mut rng,
+                    );
+                }
+            } else {
+                conn_counter += 1;
+                let tp_conn = conn_counter;
+                for k in 0..site.third_party_requests {
+                    emit(
+                        LogRecord {
+                            conn_id: tp_conn,
+                            referer_domain: site.host.to_string(),
+                            sni: THIRD_PARTY_HOST.to_string(),
+                            host: THIRD_PARTY_HOST.to_string(),
+                            arrival_order: k + 1,
+                            treatment: site.treatment,
+                            host_differs_from_sni: false,
+                            t_secs: t,
+                        },
+                        &mut rng,
+                    );
                 }
             }
-        });
+        }
+        report
+    }
+}
 
-        // Edge workers: partition visits by index.
-        let visits = self.config.visits;
-        let workers = self.config.workers.max(1);
-        thread::scope(|scope| {
-            for w in 0..workers {
-                let tx = tx.clone();
-                let report = Arc::clone(&report);
-                let group_sites = &group.sites;
-                let pipeline = &*self;
-                scope.spawn(move || {
-                    let mut conn_counter: u64 = (w as u64) << 48;
-                    for v in (w as u64..visits).step_by(workers) {
-                        let mut rng =
-                            SimRng::seed_from_u64(seed ^ v.wrapping_mul(0x9e3779b97f4a7c15));
-                        let site = &group_sites[rng.index(group_sites.len())];
-                        let t = rng.unit() * pipeline.config.window_secs;
-                        {
-                            let mut r = report
-                                .lock()
-                                .expect("passive report lock poisoned by a worker panic");
-                            match site.treatment {
-                                Treatment::Experiment => r.experiment_visits += 1,
-                                Treatment::Control => r.control_visits += 1,
-                            }
-                        }
-                        // The site connection itself.
-                        conn_counter += 1;
-                        let site_conn = conn_counter;
-                        let coalesces = pipeline.visit_coalesces(
-                            site.treatment,
-                            site.third_party_fetch,
-                            &mut rng,
-                        );
-                        let mut site_arrivals: u32 = 1;
-                        let emit = |rec: LogRecord, rng: &mut SimRng| {
-                            if rng.chance(pipeline.config.sample_rate) {
-                                let _ = tx.send(rec);
-                            }
-                        };
-                        emit(
-                            LogRecord {
-                                conn_id: site_conn,
-                                referer_domain: site.host.to_string(),
-                                sni: site.host.to_string(),
-                                host: site.host.to_string(),
-                                arrival_order: site_arrivals,
-                                treatment: site.treatment,
-                                host_differs_from_sni: false,
-                                t_secs: t,
-                            },
-                            &mut rng,
-                        );
-                        // Third-party requests.
-                        if coalesces {
-                            for _ in 0..site.third_party_requests {
-                                site_arrivals += 1;
-                                emit(
-                                    LogRecord {
-                                        conn_id: site_conn,
-                                        referer_domain: site.host.to_string(),
-                                        sni: site.host.to_string(),
-                                        host: THIRD_PARTY_HOST.to_string(),
-                                        arrival_order: site_arrivals,
-                                        treatment: site.treatment,
-                                        host_differs_from_sni: true,
-                                        t_secs: t,
-                                    },
-                                    &mut rng,
-                                );
-                            }
-                        } else {
-                            conn_counter += 1;
-                            let tp_conn = conn_counter;
-                            for k in 0..site.third_party_requests {
-                                emit(
-                                    LogRecord {
-                                        conn_id: tp_conn,
-                                        referer_domain: site.host.to_string(),
-                                        sni: THIRD_PARTY_HOST.to_string(),
-                                        host: THIRD_PARTY_HOST.to_string(),
-                                        arrival_order: k + 1,
-                                        treatment: site.treatment,
-                                        host_differs_from_sni: false,
-                                        t_secs: t,
-                                    },
-                                    &mut rng,
-                                );
-                            }
-                        }
-                    }
-                    drop(tx);
-                });
+/// One worker's fold over its sampled records — the paper's
+/// restricted-access query side. Every count is a sum, and the set
+/// only dedups connection ids, which no two workers share.
+#[derive(Default)]
+struct Collector {
+    seen_coalesced_conns: std::collections::HashSet<u64>,
+}
+
+impl Collector {
+    fn absorb(&mut self, r: &mut PassiveReport, rec: LogRecord) {
+        r.sampled_records += 1;
+        if rec.host == THIRD_PARTY_HOST {
+            if rec.host_differs_from_sni {
+                // Coalesced request: count the connection once.
+                if rec.arrival_order >= 2 && self.seen_coalesced_conns.insert(rec.conn_id) {
+                    r.coalesced_connections += 1;
+                }
+            } else if rec.arrival_order == 1 {
+                // First request on a dedicated third-party
+                // connection = one new TLS connection.
+                match rec.treatment {
+                    Treatment::Experiment => r.experiment_tp_connections += 1,
+                    Treatment::Control => r.control_tp_connections += 1,
+                }
             }
-            drop(tx);
-        });
-        collector.join().expect("collector thread");
-        Arc::try_unwrap(report)
-            .expect("all workers done")
-            .into_inner()
-            .expect("report lock not poisoned")
+        }
     }
 }
 

@@ -104,9 +104,9 @@ pub struct ResolverState {
     /// Interner for queried hostnames: the cache below is keyed by the
     /// dense interned id, so repeat queries hash one `u32` instead of
     /// a whole hostname, and expiry/replace churn never reallocates
-    /// keys. The interner survives [`ResolverState::flush_cache`] —
-    /// ids stay stable for the session and the cache itself is
-    /// emptied, so no stale entry can be observed.
+    /// keys. The interner survives [`ResolverState::flush_cache`]
+    /// until it passes [`HostTable::LIMIT`] names — the cache itself is
+    /// emptied on every flush, so no stale entry can be observed.
     hosts: HostTable,
     cache: FxHashMap<u32, CacheEntry>,
     /// Per-session round-robin serials overlaying the shared zones.
@@ -157,9 +157,16 @@ impl ResolverState {
     /// paper's active measurements start every page load with a fresh
     /// browser session to "eliminate DNS and resource caching effects"
     /// (§3.1).
+    ///
+    /// The query-name interner is kept warm across flushes until it
+    /// holds more than [`HostTable::LIMIT`] names; past that, the flush
+    /// empties it too. No id survives a flush (the cache is empty), so
+    /// this only bounds the session's memory and never changes an
+    /// answer.
     pub fn flush_cache(&mut self) {
         self.cache.clear();
         self.serials.clear();
+        self.hosts.reset_at_boundary();
     }
 
     /// Resolve `name` against `zones` at simulated time `now`.
@@ -429,5 +436,36 @@ mod tests {
         let mut rng = SimRng::seed_from_u64(2);
         let a = r.resolve(&name("x.com"), SimTime::ZERO, &mut rng).unwrap();
         assert!(a.latency >= SimDuration::from_millis(15));
+    }
+
+    #[test]
+    fn interner_stays_bounded_and_answers_stay_fresh() {
+        // A long-lived session meeting new names every visit keeps at
+        // most its interner's limit in names across a flush, and every
+        // answer — through interner resets — equals the answer a
+        // brand-new session gives the same visit.
+        let mut zones = ZoneSet::new();
+        for i in 0..60u8 {
+            zones.insert(
+                name(&format!("h{i}.example.com")),
+                RecordSet::new(vec![v4(10, 0, 1, i), v4(10, 0, 2, i)], 60),
+            );
+        }
+        const INTERN_LIMIT: usize = 8;
+        let mut long_lived = ResolverState::new(Transport::Udp53);
+        long_lived.hosts = HostTable::with_limit(INTERN_LIMIT);
+        for visit in 0..20u8 {
+            long_lived.flush_cache();
+            assert!(long_lived.hosts.len() <= INTERN_LIMIT, "visit {visit}");
+            let mut fresh = ResolverState::new(Transport::Udp53);
+            let mut rng_a = SimRng::seed_from_u64(visit as u64);
+            let mut rng_b = SimRng::seed_from_u64(visit as u64);
+            for i in [visit * 3, visit * 3 + 1, visit * 3 + 2, 0, visit * 3] {
+                let host = name(&format!("h{i}.example.com"));
+                let a = long_lived.resolve(&zones, &host, SimTime::ZERO, &mut rng_a);
+                let b = fresh.resolve(&zones, &host, SimTime::ZERO, &mut rng_b);
+                assert_eq!(a, b, "visit {visit} {host}");
+            }
+        }
     }
 }

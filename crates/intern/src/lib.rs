@@ -41,17 +41,43 @@ impl HostId {
     }
 }
 
-/// An append-only intern table: hostname → [`HostId`] and back.
-#[derive(Debug, Default, Clone)]
+/// An intern table: hostname → [`HostId`] and back. It only grows,
+/// except that [`HostTable::reset_at_boundary`] empties it once it
+/// holds more than its limit.
+#[derive(Debug, Clone)]
 pub struct HostTable {
     ids: FxHashMap<Box<str>, u32>,
     names: Vec<Box<str>>,
+    limit: usize,
+}
+
+impl Default for HostTable {
+    fn default() -> Self {
+        Self::with_limit(Self::LIMIT)
+    }
 }
 
 impl HostTable {
-    /// Empty table.
+    /// Names a table holds before [`HostTable::reset_at_boundary`]
+    /// empties it. Interning keeps a long-lived owner's repeat names
+    /// cheap, but over a long crawl of long-tail sites nearly every
+    /// visit brings new names, so an unbounded table would grow with
+    /// the run.
+    pub const LIMIT: usize = 1 << 14;
+
+    /// Empty table with the default [`HostTable::LIMIT`].
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empty table that resets past `limit` names instead (tests use a
+    /// small limit so the reset path runs).
+    pub fn with_limit(limit: usize) -> Self {
+        Self {
+            ids: FxHashMap::default(),
+            names: Vec::new(),
+            limit,
+        }
     }
 
     /// Intern `name`, returning its id (allocating only on first
@@ -88,6 +114,19 @@ impl HostTable {
     /// True when nothing has been interned.
     pub fn is_empty(&self) -> bool {
         self.names.is_empty()
+    }
+
+    /// Empty the table when it holds more than its limit; returns
+    /// whether it did. The next intern then mints id 0 again and every
+    /// earlier id is meaningless, so an owner calls this only at a
+    /// boundary where it holds no id (the start of a visit).
+    pub fn reset_at_boundary(&mut self) -> bool {
+        if self.names.len() <= self.limit {
+            return false;
+        }
+        self.ids.clear();
+        self.names.clear();
+        true
     }
 }
 
@@ -201,6 +240,20 @@ mod tests {
         assert_eq!(t1.name(t1.get("c.com").unwrap()), "c.com");
         assert_eq!(t2.name(t2.get("c.com").unwrap()), "c.com");
         assert_ne!(t1.get("c.com"), t2.get("c.com"));
+    }
+
+    #[test]
+    fn reset_past_the_limit_restarts_ids_from_zero() {
+        let mut t = HostTable::with_limit(1);
+        t.intern("a.com");
+        assert!(!t.reset_at_boundary(), "at the limit: kept");
+        assert_eq!(t.get("a.com"), Some(HostId(0)));
+        t.intern("b.com");
+        assert!(t.reset_at_boundary(), "past the limit: emptied");
+        assert!(t.is_empty());
+        assert_eq!(t.get("a.com"), None);
+        assert_eq!(t.intern("b.com"), HostId(0));
+        assert_eq!(t.name(HostId(0)), "b.com");
     }
 
     #[test]

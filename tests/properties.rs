@@ -650,3 +650,119 @@ fn h3_crawls_terminate_and_stay_deterministic() {
         );
     }
 }
+
+// ---- QPACK and Alt-Svc (wire-facing h3 decoders) ----
+
+/// One wire-shaped input for a never-panic sweep: a valid encoding
+/// as is, truncated at a random point, with random bits flipped, or
+/// random bytes outright.
+fn mutate(rng: &mut SimRng, valid: &[u8]) -> Vec<u8> {
+    match rng.index(4) {
+        0 => valid.to_vec(),
+        1 => valid[..rng.index(valid.len() + 1)].to_vec(),
+        2 => {
+            let mut v = valid.to_vec();
+            if !v.is_empty() {
+                for _ in 0..1 + rng.index(4) {
+                    let i = rng.index(v.len());
+                    v[i] ^= 1 << rng.index(8);
+                }
+            }
+            v
+        }
+        _ => rand_bytes(rng, 64),
+    }
+}
+
+fn rand_qpack_field(rng: &mut SimRng) -> respect_origin::h3::Field {
+    // Half the names come from the static table's vocabulary, so name
+    // references and exact static matches both occur.
+    const COMMON: [&str; 6] = [
+        ":authority",
+        ":path",
+        "accept",
+        "user-agent",
+        "cookie",
+        ":method",
+    ];
+    let name = if rng.chance(0.5) {
+        rng.choose(&COMMON).to_string()
+    } else {
+        rand_header_name(rng, 12)
+    };
+    respect_origin::h3::Field::new(&name, &rand_printable(rng, 24))
+}
+
+/// 60,000 seeded inputs into a QPACK decoder: encoder-stream
+/// instructions through `apply_instructions`, then a field section
+/// through `decode`. Each input starts from a real encoder's output
+/// for a random field list (against a table the decoder shares, so
+/// dynamic references occur), then is kept, truncated, bit-flipped or
+/// replaced by random bytes. Decoding may fail; it must never panic,
+/// and an untouched encoding must decode to the fields it encodes.
+#[test]
+fn qpack_decoder_never_panics() {
+    use respect_origin::h3::{QpackDecoder, QpackEncoder};
+    let mut rng = SimRng::seed_from_u64(0x5150_4B31);
+    for case in 0..60_000u32 {
+        // Small tables force evictions and refused inserts.
+        let table = *rng.choose(&[0usize, 64, 256, 4096]);
+        let mut enc = QpackEncoder::with_table_size(table);
+        let mut dec = QpackDecoder::with_table_size(table);
+        // Warm both halves with one clean request so the mutated one
+        // can reference existing dynamic entries.
+        let warm: Vec<_> = (0..rng.index(4))
+            .map(|_| rand_qpack_field(&mut rng))
+            .collect();
+        let w = enc.encode(&warm);
+        dec.apply_instructions(&w.instructions)
+            .expect("clean instructions");
+        assert_eq!(dec.decode(&w.section).expect("clean section"), warm);
+
+        let fields: Vec<_> = (0..rng.index(6))
+            .map(|_| rand_qpack_field(&mut rng))
+            .collect();
+        let encoded = enc.encode(&fields);
+        let instructions = mutate(&mut rng, &encoded.instructions);
+        let section = mutate(&mut rng, &encoded.section);
+        let applied = dec.apply_instructions(&instructions);
+        let decoded = dec.decode(&section);
+        if instructions == encoded.instructions && section == encoded.section {
+            assert!(applied.is_ok(), "case {case}");
+            assert_eq!(decoded.as_ref().ok(), Some(&fields), "case {case}");
+        }
+    }
+}
+
+/// 60,000 seeded `alt-svc` values into `parse_alt_svc`: well-formed
+/// advertisements (single, listed, `clear`, with and without `ma`),
+/// truncated, bit-flipped (then read back as lossy UTF-8), or random
+/// text. Parsing may refuse; it must never panic, and an untouched
+/// single advertisement must parse back to what was formatted.
+#[test]
+fn alt_svc_parse_never_panics() {
+    use respect_origin::h3::{format_alt_svc, parse_alt_svc, AltService};
+    let mut rng = SimRng::seed_from_u64(0x414C_5453);
+    for case in 0..60_000u32 {
+        let svc = AltService {
+            protocol: rng.choose(&["h3", "h3-29", "h2"]).to_string(),
+            port: rng.range_u64(0, 65_536) as u16,
+            max_age: rng.range_u64(0, 1 << 40),
+        };
+        let valid = match rng.index(4) {
+            0 => format_alt_svc(&svc),
+            1 => format!("{}=\":{}\"", svc.protocol, svc.port),
+            2 => format!("{}, h3=\"alt.example:443\"; ma=60", format_alt_svc(&svc)),
+            _ => "clear".to_string(),
+        };
+        let input = match rng.index(3) {
+            0 => String::from_utf8_lossy(&mutate(&mut rng, valid.as_bytes())).into_owned(),
+            1 => rand_weird(&mut rng, 64),
+            _ => valid.clone(),
+        };
+        let parsed = parse_alt_svc(&input);
+        if input == valid && valid == format_alt_svc(&svc) {
+            assert_eq!(parsed, Some(svc), "case {case}: {input:?}");
+        }
+    }
+}
